@@ -13,7 +13,7 @@
 //!   looks like (see "Soundness" below);
 //! * a **seconds lower bound** from the roofline memory floor plus the
 //!   per-kernel launch/dispatch overhead — the pruning hook used by
-//!   [`multidim_mapping::tune_pruned`];
+//!   [`multidim_mapping::tune`];
 //! * per-kernel shared-memory **footprint proofs** (overflow = `Error`
 //!   before the simulator ever faults) and per-access **bank-conflict
 //!   degrees**, proven by enumerating the real block's warps;

@@ -146,7 +146,6 @@ pub struct Compiler {
     weights: Weights,
     fusion: bool,
     checks: bool,
-    prune: bool,
     dynpar: DynParConfig,
 }
 
@@ -166,7 +165,6 @@ impl Compiler {
             weights: Weights::default(),
             fusion: true,
             checks: true,
-            prune: true,
             dynpar: DynParConfig::default(),
         }
     }
@@ -251,15 +249,16 @@ impl Compiler {
         self
     }
 
-    /// Enable/disable lower-bound pruning inside [`Compiler::autotune`]
-    /// (on by default). Pruning discards candidates whose proven locality
-    /// lower bound already exceeds the best measured cost; selection is
-    /// bit-identical to the unpruned loop (see
-    /// [`multidim_mapping::tune_pruned`]), so this knob exists for A/B
-    /// verification, not correctness.
-    pub fn prune(mut self, on: bool) -> Self {
-        self.prune = on;
-        self
+    /// The program actually compiled: fused (when fusion is on) and
+    /// validated, with the number of fused patterns.
+    fn fused(&self, program: &Program) -> Result<(Program, usize), CompileError> {
+        let (program, fused) = if self.fusion {
+            fuse_map_reduce(program)
+        } else {
+            (program.clone(), 0)
+        };
+        program.validate()?;
+        Ok((program, fused))
     }
 
     /// The codegen options actually passed to lowering: the user's
@@ -286,12 +285,7 @@ impl Compiler {
         if let Some(sp) = sp.as_mut() {
             sp.arg("program", program.name.as_str());
         }
-        let (program, fused) = if self.fusion {
-            fuse_map_reduce(program)
-        } else {
-            (program.clone(), 0)
-        };
-        program.validate()?;
+        let (program, fused) = self.fused(program)?;
 
         let (mapping, analysis) = match self.strategy {
             Strategy::MultiDim => {
@@ -325,35 +319,18 @@ impl Compiler {
         options: &multidim_mapping::TuneOptions,
     ) -> Result<(Executable, multidim_mapping::TuneResult), CompileError> {
         let prepared = self.prepare_tune(program, bindings, options)?;
-        let result = if self.prune {
-            // Locality-proof pruning: a candidate whose *proven* memory
-            // transaction / launch-overhead floor already exceeds the best
-            // simulated time so far cannot win, so skip its simulation.
-            // Selection stays bit-identical to the unpruned loop because
-            // the bound is sound (`cost >= lower bound > best so far`) and
-            // pruning only triggers on a strict comparison.
-            let facts = LocalityFacts::of(&prepared.program, bindings);
-            multidim_mapping::tune_pruned(
-                &prepared.plan,
-                options.max_measurements,
-                |cand| self.candidate_bound(&prepared, bindings, &facts, &cand.mapping),
-                |cand| self.measure_candidate(&prepared, bindings, inputs, &cand.mapping),
-            )
-        } else {
-            let mut costs = Vec::new();
-            let mut successes = 0usize;
-            for cand in &prepared.plan.candidates {
-                if successes >= options.max_measurements {
-                    break;
-                }
-                let cost = self.measure_candidate(&prepared, bindings, inputs, &cand.mapping);
-                if cost.is_some() {
-                    successes += 1;
-                }
-                costs.push(cost);
-            }
-            multidim_mapping::select(&prepared.plan, &costs)
-        }
+        // Locality-proof pruning: a candidate whose *proven* memory
+        // transaction / launch-overhead floor already exceeds the best
+        // simulated time so far cannot win, so skip its simulation.
+        // Selection stays bit-identical to measuring every candidate
+        // because the bound is sound (`cost >= lower bound > best so far`)
+        // and pruning only triggers on a strict comparison.
+        let facts = LocalityFacts::of(&prepared.program, bindings);
+        let result = multidim_mapping::tune(
+            &prepared.plan,
+            |cand| self.candidate_bound(&prepared, bindings, &facts, &cand.mapping),
+            |cand| self.measure_candidate(&prepared, bindings, inputs, &cand.mapping),
+        )
         .ok_or_else(|| CompileError("no mapping candidate was executable".into()))?;
         let exe = self.compile_tuned(&prepared, bindings, result.best.clone())?;
         Ok((exe, result))
@@ -361,8 +338,8 @@ impl Compiler {
 
     /// Proven lower bound (simulated seconds) for one tuning candidate, or
     /// `None` when the candidate does not lower/validate (it then falls
-    /// through to measurement, which fails the same way and records the
-    /// failure exactly as the unpruned loop would).
+    /// through to measurement, which fails the same way and is recorded
+    /// as not executable).
     fn candidate_bound(
         &self,
         prepared: &TunePrepared,
@@ -370,18 +347,29 @@ impl Compiler {
         facts: &LocalityFacts,
         mapping: &MappingDecision,
     ) -> Option<f64> {
-        let opts = self.effective_options();
-        let kernels = lower_planned(&prepared.program, mapping, &opts, &prepared.dynpar).ok()?;
-        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        let kernels = self.lower_candidate(prepared, mapping)?;
         let summary = locality_of(
             facts,
             mapping,
             &kernels,
             bindings,
             &self.gpu,
-            opts.smem_prefetch,
+            self.options.smem_prefetch,
         );
         Some(summary.seconds_lower_bound)
+    }
+
+    /// Lower one tuning candidate and validate it against device limits,
+    /// or `None` when it is not executable.
+    fn lower_candidate(
+        &self,
+        prepared: &TunePrepared,
+        mapping: &MappingDecision,
+    ) -> Option<KernelProgram> {
+        let opts = self.effective_options();
+        let kernels = lower_planned(&prepared.program, mapping, &opts, &prepared.dynpar).ok()?;
+        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        Some(kernels)
     }
 
     /// The serial front half of [`Compiler::autotune`]: fuse + validate the
@@ -401,12 +389,7 @@ impl Compiler {
         bindings: &Bindings,
         options: &multidim_mapping::TuneOptions,
     ) -> Result<TunePrepared, CompileError> {
-        let (program, _) = if self.fusion {
-            fuse_map_reduce(program)
-        } else {
-            (program.clone(), 0)
-        };
-        program.validate()?;
+        let (program, _) = self.fused(program)?;
         let plan = multidim_mapping::plan(&program, bindings, &self.gpu, &self.weights, options);
         // One consolidation decision shared by every candidate: the plan
         // depends only on the program, sizes, and device, so measuring
@@ -432,14 +415,7 @@ impl Compiler {
         inputs: &HashMap<ArrayId, Vec<f64>>,
         mapping: &MappingDecision,
     ) -> Option<f64> {
-        let kernels = lower_planned(
-            &prepared.program,
-            mapping,
-            &self.effective_options(),
-            &prepared.dynpar,
-        )
-        .ok()?;
-        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        let kernels = self.lower_candidate(prepared, mapping)?;
         let sim = run_program(&kernels, &self.gpu, bindings, inputs).ok()?;
         Some(sim.total_seconds)
     }
@@ -472,12 +448,7 @@ impl Compiler {
         bindings: &Bindings,
         mapping: MappingDecision,
     ) -> Result<Executable, CompileError> {
-        let (program, fused) = if self.fusion {
-            fuse_map_reduce(program)
-        } else {
-            (program.clone(), 0)
-        };
-        program.validate()?;
+        let (program, fused) = self.fused(program)?;
         self.compile_mapped(program, bindings, mapping, None, fused)
     }
 

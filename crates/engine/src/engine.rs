@@ -204,27 +204,19 @@ impl Ticket {
 
     /// Block until the response arrives.
     pub fn wait(self) -> Result<Response, EngineError> {
-        let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match std::mem::replace(&mut *state, SlotState::Taken) {
-                SlotState::Ready(r) => return *r,
-                SlotState::Taken => return Err(EngineError::Canceled),
-                SlotState::Pending => {
-                    *state = SlotState::Pending;
-                    state = self
-                        .slot
-                        .resolved
-                        .wait(state)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
+        self.take(None)
     }
 
     /// Block up to `timeout`. On timeout the request keeps running but
     /// its result is discarded.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Response, EngineError> {
-        let deadline = Instant::now() + timeout;
+        self.take(Some(timeout))
+    }
+
+    /// Park until the slot resolves (or `timeout`, if any, elapses), then
+    /// take the response.
+    fn take(self, timeout: Option<Duration>) -> Result<Response, EngineError> {
+        let deadline = timeout.map(|waited| (Instant::now() + waited, waited));
         let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             match std::mem::replace(&mut *state, SlotState::Taken) {
@@ -232,16 +224,24 @@ impl Ticket {
                 SlotState::Taken => return Err(EngineError::Canceled),
                 SlotState::Pending => {
                     *state = SlotState::Pending;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(EngineError::WaitTimeout { waited: timeout });
-                    }
-                    let (guard, _) = self
-                        .slot
-                        .resolved
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    state = guard;
+                    state = match deadline {
+                        Some((deadline, waited)) => {
+                            let now = Instant::now();
+                            if now >= deadline {
+                                return Err(EngineError::WaitTimeout { waited });
+                            }
+                            self.slot
+                                .resolved
+                                .wait_timeout(state, deadline - now)
+                                .unwrap_or_else(|e| e.into_inner())
+                                .0
+                        }
+                        None => self
+                            .slot
+                            .resolved
+                            .wait(state)
+                            .unwrap_or_else(|e| e.into_inner()),
+                    };
                 }
             }
         }
@@ -678,67 +678,45 @@ impl Engine {
         let compiler = &self.shared.compiler;
         let prepared = Arc::new(compiler.prepare_tune(program, bindings, options)?);
         let n = prepared.plan.candidates.len();
-        let bindings_shared = Arc::new(bindings.clone());
-        let inputs_shared = Arc::new(inputs.clone());
 
-        let (tx, rx) = channel::<(usize, Option<f64>)>();
-        let mut pending = 0usize;
-        for index in 0..n {
-            let job_ctx = (
-                self.shared.clone(),
-                prepared.clone(),
-                bindings_shared.clone(),
-                inputs_shared.clone(),
-                tx.clone(),
-            );
-            let job = Box::new(move || {
-                let (shared, prepared, bindings, inputs, tx) = job_ctx;
+        // The one measurement body, on a pool worker or inline: a
+        // panicking candidate counts as not executable instead of escaping.
+        let measure = {
+            let (shared, prepared) = (self.shared.clone(), prepared.clone());
+            let (bindings, inputs) = (bindings.clone(), inputs.clone());
+            Arc::new(move |index: usize| {
                 let mapping = &prepared.plan.candidates[index].mapping;
-                let cost = catch_unwind(AssertUnwindSafe(|| {
+                catch_unwind(AssertUnwindSafe(|| {
                     shared
                         .compiler
                         .measure_candidate(&prepared, &bindings, &inputs, mapping)
                 }))
-                .unwrap_or(None);
-                let _ = tx.send((index, cost));
+                .unwrap_or(None)
+            })
+        };
+        let (tx, rx) = channel::<(usize, Option<f64>)>();
+        for index in 0..n {
+            let (job_measure, job_tx) = (measure.clone(), tx.clone());
+            let job = Box::new(move || {
+                let _ = job_tx.send((index, job_measure(index)));
             });
             match self.pool.try_submit(job) {
-                Ok(()) => pending += 1,
-                Err(rejected) => {
-                    // Queue full or shutting down: measure inline.
-                    if let Some(crate::pool::QueueFull(job)) = rejected {
-                        job();
-                        pending += 1;
-                    } else {
-                        let mapping = &prepared.plan.candidates[index].mapping;
-                        let cost = compiler.measure_candidate(&prepared, bindings, inputs, mapping);
-                        let _ = tx.send((index, cost));
-                        pending += 1;
-                    }
+                Ok(()) => {}
+                // Queue full: run the returned job inline.
+                Err(Some(crate::pool::QueueFull(job))) => job(),
+                // Shutting down (the job was dropped): measure inline.
+                Err(None) => {
+                    let _ = tx.send((index, measure(index)));
                 }
             }
         }
         drop(tx);
 
+        // Every job either reports or is dropped with its sender, so the
+        // channel closes once all candidates are accounted for.
         let mut costs: Vec<Option<f64>> = vec![None; n];
-        for _ in 0..pending {
-            match rx.recv() {
-                Ok((index, cost)) => costs[index] = cost,
-                Err(_) => break,
-            }
-        }
-
-        // Honor `max_measurements` with serial semantics: the serial tuner
-        // attempts candidates in score order and stops once that many have
-        // measured successfully, so discard exactly the costs it would
-        // never have observed.
-        let mut successes = 0usize;
-        for cost in costs.iter_mut() {
-            if successes >= options.max_measurements {
-                *cost = None;
-            } else if cost.is_some() {
-                successes += 1;
-            }
+        for (index, cost) in rx {
+            costs[index] = cost;
         }
 
         let result = multidim_mapping::select(&prepared.plan, &costs).ok_or_else(|| {

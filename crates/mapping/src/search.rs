@@ -308,13 +308,13 @@ fn for_each_candidate(
                         })
                         .collect();
                     let mapping = MappingDecision::new(levels);
-                    if trace::enabled() {
-                        // Traced path: name the violated constraint so the
-                        // "why was this candidate pruned" table can be built.
-                        match constraints.first_violation(&mapping) {
-                            None => f(mapping),
-                            Some(v) => {
-                                pruned += 1;
+                    match constraints.first_violation(&mapping) {
+                        None => f(mapping),
+                        Some(v) => {
+                            pruned += 1;
+                            // Name the violated constraint so the "why was
+                            // this candidate pruned" table can be built.
+                            if trace::enabled() {
                                 trace::emit(
                                     trace::Event::instant("search", "pruned")
                                         .arg("mapping", mapping.to_string())
@@ -322,10 +322,6 @@ fn for_each_candidate(
                                 );
                             }
                         }
-                    } else if constraints.hard_ok(&mapping) {
-                        f(mapping);
-                    } else {
-                        pruned += 1;
                     }
                 });
             },

@@ -4,9 +4,10 @@
 //! auto-tuners to explore the mapping space", and the Figure 17 discussion
 //! notes the static score has false negatives that only measurement can
 //! recover. This module provides that exploration: enumerate the
-//! hard-valid candidates, optionally pre-filter by static score, measure
-//! each with a caller-provided cost function, and return the empirically
-//! best mapping.
+//! hard-valid candidates, optionally pre-filter by static score ([`plan`]),
+//! measure them with a caller-provided cost function, and return the
+//! empirically best mapping — serially with lower-bound pruning ([`tune`]),
+//! or by folding costs measured anywhere, in any order ([`select`]).
 
 use crate::constraint::Weights;
 use crate::params::MappingDecision;
@@ -15,24 +16,13 @@ use multidim_device::GpuSpec;
 use multidim_ir::{Bindings, Program};
 
 /// Tuning configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuneOptions {
     /// Only measure candidates whose normalized score is at least this
     /// fraction of the best score (1.0 = only ties with the static
     /// winner; 0.0 = measure everything). Score-guided pruning trades
     /// tuning time against Figure 17's region-C false negatives.
     pub score_floor: f64,
-    /// Hard cap on measured candidates (highest-scored first).
-    pub max_measurements: usize,
-}
-
-impl Default for TuneOptions {
-    fn default() -> Self {
-        TuneOptions {
-            score_floor: 0.0,
-            max_measurements: usize::MAX,
-        }
-    }
 }
 
 /// One measured candidate.
@@ -60,8 +50,8 @@ pub struct TuneResult {
     /// Candidates skipped by the cost function (not executable).
     pub skipped: usize,
     /// Candidates discarded *without measurement* because a sound static
-    /// lower bound already exceeded the best measured cost (only
-    /// [`tune_pruned`] sets this; plain [`tune`]/[`select`] report 0).
+    /// lower bound already exceeded the best measured cost (only [`tune`]
+    /// sets this; [`select`] reports 0).
     pub pruned: usize,
 }
 
@@ -78,10 +68,9 @@ pub struct TunePlan {
 }
 
 /// Enumerate and pre-filter the candidates to measure (the serial phase of
-/// tuning). Applies `options.score_floor`; `options.max_measurements`
-/// caps *successful* measurements and is enforced by [`tune`]'s serial
-/// loop (a parallel driver caps attempted candidates instead — see
-/// `TunePlan::candidates`).
+/// tuning). Applies `options.score_floor`; every surviving candidate is
+/// measured (or pruned) by [`tune`], or measured by a parallel driver and
+/// folded with [`select`].
 pub fn plan(
     program: &Program,
     bindings: &Bindings,
@@ -139,81 +128,40 @@ pub fn select(plan: &TunePlan, costs: &[Option<f64>]) -> Option<TuneResult> {
     })
 }
 
-/// Exhaustively (or score-guided) tune `program`'s mapping with the given
-/// measurement function. `measure` returns the cost of one candidate, or
-/// `None` when the candidate cannot be compiled/executed.
+/// The serial tuning driver: measure `plan`'s candidates in score order,
+/// with a **sound lower-bound pruning hook**. Before measuring a candidate,
+/// `bound` may return a proven lower bound on its cost (e.g. the locality
+/// analysis's roofline memory floor); a candidate whose bound *strictly
+/// exceeds* the best measured cost so far is discarded without
+/// measurement. `measure` returns the cost of one candidate, or `None`
+/// when it cannot be compiled/executed. Pass `|_| None` as `bound` to
+/// measure every candidate.
 ///
-/// Returns `None` when no candidate could be measured.
-pub fn tune(
-    program: &Program,
-    bindings: &Bindings,
-    gpu: &GpuSpec,
-    weights: &Weights,
-    options: &TuneOptions,
-    mut measure: impl FnMut(&MappingDecision) -> Option<f64>,
-) -> Option<TuneResult> {
-    let plan = plan(program, bindings, gpu, weights, options);
-    // `costs` only covers attempted candidates: `select` zips, so
-    // candidates past the measurement cap count as neither measured nor
-    // skipped (matching the serial semantics engine drivers rely on).
-    let mut costs = Vec::new();
-    let mut successes = 0usize;
-    for cand in &plan.candidates {
-        if successes >= options.max_measurements {
-            break;
-        }
-        let cost = measure(&cand.mapping);
-        if cost.is_some() {
-            successes += 1;
-        }
-        costs.push(cost);
-    }
-    select(&plan, &costs)
-}
-
-/// Like the serial measurement loop inside [`tune`], but with a **sound
-/// lower-bound pruning hook**: before measuring a candidate, `bound` may
-/// return a proven lower bound on its cost (e.g. the locality analysis's
-/// roofline memory floor). A candidate whose bound *strictly exceeds* the
-/// best measured cost so far is discarded without measurement.
-///
-/// # Selection is bit-identical to the unpruned loop
+/// # Selection is bit-identical to exhaustive measurement
 ///
 /// The best cost only decreases over the run, so a pruned candidate's true
 /// cost satisfies `cost ≥ bound > best_so_far ≥ best_final` — it can never
 /// win or even tie the final selection ([`select`] breaks cost ties on
-/// candidate index, and the inequality is strict). Pruned candidates *do*
-/// count against `max_measurements`, mirroring the successful measurement
-/// the unpruned loop would have made; the two loops can only diverge under
-/// a finite cap when a pruned candidate would in fact have *failed* to
-/// measure (the default cap is unbounded).
+/// candidate index, and the inequality is strict). The winner and its cost
+/// therefore equal [`select`] over every candidate's measured cost.
 ///
 /// Returns `None` when no candidate was measured.
-pub fn tune_pruned(
+pub fn tune(
     plan: &TunePlan,
-    max_measurements: usize,
     mut bound: impl FnMut(&ScoredMapping) -> Option<f64>,
     mut measure: impl FnMut(&ScoredMapping) -> Option<f64>,
 ) -> Option<TuneResult> {
-    let mut costs: Vec<Option<f64>> = Vec::new();
-    let mut successes = 0usize;
+    let mut costs: Vec<Option<f64>> = Vec::with_capacity(plan.candidates.len());
     let mut pruned = 0usize;
     let mut best_so_far = f64::INFINITY;
     for cand in &plan.candidates {
-        if successes >= max_measurements {
-            break;
-        }
-        if let Some(lb) = bound(cand) {
-            if lb > best_so_far {
-                pruned += 1;
-                successes += 1;
-                costs.push(None);
-                continue;
-            }
+        if bound(cand).is_some_and(|lb| lb > best_so_far) {
+            pruned += 1;
+            costs.push(None);
+            continue;
         }
         let cost = measure(cand);
         if let Some(c) = cost {
-            successes += 1;
             if c < best_so_far {
                 best_so_far = c;
             }
@@ -251,19 +199,35 @@ mod tests {
         (p, bind)
     }
 
+    fn plan_with(options: &TuneOptions) -> TunePlan {
+        let (p, bind) = program();
+        plan(
+            &p,
+            &bind,
+            &GpuSpec::tesla_k20c(),
+            &Weights::default(),
+            options,
+        )
+    }
+
+    /// Position of `cand` in `plan` (the driver hands out references into
+    /// `plan.candidates`).
+    fn index_of(plan: &TunePlan, cand: &ScoredMapping) -> usize {
+        plan.candidates
+            .iter()
+            .position(|c| std::ptr::eq(c, cand))
+            .expect("candidate comes from the plan")
+    }
+
     #[test]
     fn finds_the_synthetic_optimum() {
         // Synthetic cost: block_threads distance from 128 — the tuner must
         // find a 128-thread candidate.
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
+        let plan = plan_with(&TuneOptions::default());
         let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| Some((m.block_threads() as f64 - 128.0).abs()),
+            &plan,
+            |_| None,
+            |c| Some((c.mapping.block_threads() as f64 - 128.0).abs()),
         )
         .unwrap();
         assert_eq!(r.best.block_threads(), 128);
@@ -273,26 +237,10 @@ mod tests {
 
     #[test]
     fn score_floor_prunes() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let full = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |_| Some(1.0),
-        )
-        .unwrap();
+        let full = tune(&plan_with(&TuneOptions::default()), |_| None, |_| Some(1.0)).unwrap();
         let pruned = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions {
-                score_floor: 0.9,
-                ..Default::default()
-            },
+            &plan_with(&TuneOptions { score_floor: 0.9 }),
+            |_| None,
             |_| Some(1.0),
         )
         .unwrap();
@@ -300,36 +248,14 @@ mod tests {
     }
 
     #[test]
-    fn measurement_cap() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions {
-                max_measurements: 5,
-                ..Default::default()
-            },
-            |_| Some(1.0),
-        )
-        .unwrap();
-        assert_eq!(r.measured.len(), 5);
-    }
-
-    #[test]
     fn unmeasurable_candidates_are_skipped() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
+        let plan = plan_with(&TuneOptions::default());
         let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| {
+            &plan,
+            |_| None,
+            |c| {
                 // Pretend splits are not executable.
+                let m = &c.mapping;
                 if m.levels().iter().any(|l| matches!(l.span, Span::Split(_))) {
                     None
                 } else {
@@ -339,6 +265,7 @@ mod tests {
         )
         .unwrap();
         assert!(!r.measured.is_empty());
+        assert_eq!(r.measured.len() + r.skipped, plan.candidates.len());
     }
 
     #[test]
@@ -347,28 +274,13 @@ mod tests {
         // everywhere: the winner must be the lowest-index candidate, the
         // same one the serial `tune` loop picks — no matter which thread
         // or order produced the measurements.
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let serial = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| Some((m.block_threads() % 7) as f64),
-        )
-        .unwrap();
-        let plan = plan(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-        );
+        let plan = plan_with(&TuneOptions::default());
+        let cost_of = |c: &ScoredMapping| Some((c.mapping.block_threads() % 7) as f64);
+        let serial = tune(&plan, |_| None, cost_of).unwrap();
         // "Parallel" measurement: compute all costs, in reverse order.
         let mut costs = vec![None; plan.candidates.len()];
         for i in (0..plan.candidates.len()).rev() {
-            costs[i] = Some((plan.candidates[i].mapping.block_threads() % 7) as f64);
+            costs[i] = cost_of(&plan.candidates[i]);
         }
         let parallel = select(&plan, &costs).unwrap();
         assert_eq!(parallel.best, serial.best);
@@ -377,17 +289,65 @@ mod tests {
     }
 
     #[test]
-    fn none_when_nothing_measurable() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        assert!(tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |_| None
+    fn bound_pruning_is_strict_and_selection_matches_select() {
+        // Synthetic costs and bounds by plan index. Index 1 sets the best
+        // cost (3.0); index 2 ties it and carries a bound *equal* to it, so
+        // it must be measured, and the tie must go to index 1.
+        let plan = plan_with(&TuneOptions::default());
+        let n = plan.candidates.len();
+        assert!(n > 8, "fixture plan too small: {n}");
+        let cost = |i: usize| match i {
+            0 => Some(5.0),
+            1 | 2 => Some(3.0),
+            3 => None,
+            _ => Some(4.0),
+        };
+        let bound = |i: usize| match i {
+            // Nothing measured yet: even a huge bound cannot prune.
+            0 => Some(100.0),
+            2 => Some(3.0),
+            4 => Some(3.5),
+            5 => Some(10.0),
+            // Below the best so far: measured.
+            6 => Some(0.25),
+            _ => None,
+        };
+        let mut measured_at = Vec::new();
+        let r = tune(
+            &plan,
+            |c| bound(index_of(&plan, c)),
+            |c| {
+                let i = index_of(&plan, c);
+                measured_at.push(i);
+                cost(i)
+            },
         )
-        .is_none());
+        .unwrap();
+        let expected: Vec<usize> = (0..n).filter(|i| ![4, 5].contains(i)).collect();
+        assert_eq!(
+            measured_at, expected,
+            "bound == best so far must be measured"
+        );
+        assert_eq!((r.pruned, r.skipped), (2, 1));
+        assert_eq!(r.measured.len() + r.pruned + r.skipped, n);
+        assert_eq!(r.best_cost, 3.0);
+        assert_eq!((r.measured[0].index, r.measured[1].index), (1, 2));
+        assert_eq!(r.best, plan.candidates[1].mapping);
+
+        // The exhaustive reference (every candidate measured, folded by
+        // `select`) picks the bit-identical winner.
+        let costs: Vec<Option<f64>> = (0..n).map(cost).collect();
+        let full = select(&plan, &costs).unwrap();
+        assert_eq!(full.best, r.best);
+        assert_eq!(full.best_cost, r.best_cost);
+        assert_eq!(full.pruned, 0);
+    }
+
+    #[test]
+    fn none_when_nothing_measurable() {
+        let plan = plan_with(&TuneOptions::default());
+        assert!(tune(&plan, |_| None, |_| None).is_none());
+        // An empty plan yields no result either.
+        assert!(tune(&TunePlan { candidates: vec![] }, |_| None, |_| Some(1.0)).is_none());
     }
 }

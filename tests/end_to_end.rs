@@ -265,22 +265,21 @@ fn score_pruned_autotune_is_cheaper_and_close() {
     bind.bind(h, 32);
     bind.bind(w, 256);
     let inputs = HashMap::new();
-    // Disable locality pruning so the comparison isolates the score floor.
-    let compiler = Compiler::new().prune(false);
-    let (_, full) = compiler
-        .autotune(&p, &bind, &inputs, &TuneOptions::default())
-        .unwrap();
-    let (_, pruned) = compiler
-        .autotune(
-            &p,
-            &bind,
-            &inputs,
-            &TuneOptions {
-                score_floor: 0.8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    // Measure every planned candidate (no locality pruning) so the
+    // comparison isolates the score floor.
+    let compiler = Compiler::new();
+    let exhaustive = |options: &TuneOptions| {
+        let prepared = compiler.prepare_tune(&p, &bind, options).unwrap();
+        let costs: Vec<Option<f64>> = prepared
+            .plan
+            .candidates
+            .iter()
+            .map(|c| compiler.measure_candidate(&prepared, &bind, &inputs, &c.mapping))
+            .collect();
+        multidim_mapping::select(&prepared.plan, &costs).unwrap()
+    };
+    let full = exhaustive(&TuneOptions::default());
+    let pruned = exhaustive(&TuneOptions { score_floor: 0.8 });
     assert!(pruned.measured.len() < full.measured.len());
     assert!(pruned.best_cost <= full.best_cost * 1.5);
 }
