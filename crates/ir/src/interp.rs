@@ -577,6 +577,7 @@ fn to_index(v: f64) -> Result<i64, InterpError> {
 }
 
 /// Apply a binary operator to scalars (shared with the simulator).
+#[inline]
 pub fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
     match op {
         BinOp::Add => x + y,
@@ -606,6 +607,7 @@ pub fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
 }
 
 /// Apply a unary operator to a scalar (shared with the simulator).
+#[inline]
 pub fn apply_un(op: UnOp, x: f64) -> f64 {
     match op {
         UnOp::Neg => -x,

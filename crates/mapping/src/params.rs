@@ -164,7 +164,13 @@ impl MappingDecision {
             .map(|(l, &ext)| match l.span {
                 Span::Span(n) => {
                     let n = n.max(1);
-                    (((ext + n - 1) / n).max(1)) as u64
+                    // Checked so an extent near `i64::MAX` panics in
+                    // release builds too instead of wrapping to a bogus
+                    // degree of parallelism.
+                    let rounded = ext
+                        .checked_add(n - 1)
+                        .expect("degree of parallelism overflows i64");
+                    ((rounded / n).max(1)) as u64
                 }
                 Span::All => l.block_size as u64,
                 Span::Split(k) => l.block_size as u64 * k.max(1) as u64,

@@ -11,13 +11,31 @@
 //! Every global access is coalesced through [`crate::coalesce`] and every
 //! shared-memory access through [`crate::bank_conflicts`], accumulating the
 //! [`KernelCost`] record that the timing model converts to seconds.
+//!
+//! # Execution core
+//!
+//! Each kernel is decoded once per [`run_program`] call ([`Decoded`]):
+//! symbolic sizes are resolved, every expression tree becomes a flat
+//! post-order list of [`Op`]s over per-warp lane registers, and each
+//! statement records whether it contains a barrier. Subtrees that are
+//! uniform across a warp (immediates, sizes, `blockDim`, `blockIdx`,
+//! `gridDim` and pure operators over them) are folded at decode time or
+//! computed once as scalars, while the expression still charges one warp
+//! instruction per tree node, exactly as if every node had been evaluated.
+//!
+//! Pure operators run branch-free over all 32 lanes: lanes outside the
+//! mask compute values nobody reads. Everything observable — local
+//! assignments, loads, stores, shared-memory accesses, atomics, child
+//! launches and index checks — is masked and visits lanes in ascending
+//! order, so the first faulting lane and its [`SimError`] text do not
+//! depend on how the pure part is evaluated.
 
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
 use crate::memory::{bank_conflicts, coalesce};
 use crate::report::{BoundBy, Efficiency};
 use multidim_codegen::{BufId, BufferInit, KExpr, Kernel, KernelProgram, Stmt};
 use multidim_device::{GpuSpec, WARP_SIZE};
-use multidim_ir::{apply_bin, apply_un, ArrayId, Bindings, ReduceOp, Size};
+use multidim_ir::{apply_bin, apply_un, ArrayId, BinOp, Bindings, ReduceOp, UnOp};
 use multidim_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
@@ -239,26 +257,24 @@ fn run_program_inner(
     let mut times = Vec::new();
     let mut total = 0.0f64;
     let mut san_report = sanitize.then(SanitizerReport::default);
-    let children: Vec<Kernel> = kp
+    let children: Vec<Decoded> = kp
         .children
         .iter()
-        .map(|c| specialize(c, bindings))
+        .map(|c| Decoded::new(c, bindings))
         .collect();
     for kernel in &kp.kernels {
-        let k = specialize(kernel, bindings);
+        let k = Decoded::new(kernel, bindings);
         // Fresh first-writer map per launch: kernel boundaries synchronize.
         let mut tracker = sanitize.then(WriteTracker::default);
         let mut pending: Vec<PendingLaunch> = Vec::new();
-        let mut ex = Exec {
+        let mut ex = Exec::new(
             gpu,
-            buffers: &mut buffers,
-            cost: KernelCost::default(),
-            kernel: &k,
-            san: tracker.as_mut(),
-            pending: &mut pending,
-            tid_base: 0,
-            launch_args: &[],
-        };
+            &k,
+            k.grid,
+            &mut buffers,
+            tracker.as_mut(),
+            &mut pending,
+        );
         let blocks = ex.run()?;
         let mut cost = ex.cost;
         // Fire the device-side launches the parent queued: every child
@@ -270,7 +286,7 @@ fn run_program_inner(
             let child = children
                 .get(launch.kernel as usize)
                 .ok_or_else(|| SimError(format!("child kernel {} not declared", launch.kernel)))?;
-            let threads = u64::from(child.block_threads().max(1));
+            let threads = u64::from(child.threads);
             let cblocks = launch.extent.div_ceil(threads);
             if cblocks > 1 << 22 {
                 return Err(SimError(format!(
@@ -278,24 +294,18 @@ fn run_program_inner(
                     cblocks
                 )));
             }
-            let mut ck = child.clone();
-            ck.grid = [
-                Size::from(cblocks as i64),
-                Size::from(1i64),
-                Size::from(1i64),
-            ];
             let mut child_pending: Vec<PendingLaunch> = Vec::new();
-            let mut cex = Exec {
+            let mut cex = Exec::new(
                 gpu,
-                buffers: &mut buffers,
-                cost: KernelCost::default(),
-                kernel: &ck,
-                san: tracker.as_mut(),
-                pending: &mut child_pending,
-                // Disjoint per launch; far above any real parent tid.
-                tid_base: (ordinal as u64 + 1) << 40,
-                launch_args: &launch.args,
-            };
+                child,
+                [cblocks, 1, 1],
+                &mut buffers,
+                tracker.as_mut(),
+                &mut child_pending,
+            );
+            // Disjoint per launch; far above any real parent tid.
+            cex.tid_base = (ordinal as u64 + 1) << 40;
+            cex.launch_args = &launch.args;
             cex.run()?;
             let child_cost = cex.cost;
             if !child_pending.is_empty() {
@@ -309,8 +319,8 @@ fn run_program_inner(
         }
         let shape = LaunchShape {
             blocks,
-            block_threads: k.block_threads(),
-            smem_bytes: k.smem_bytes(),
+            block_threads: kernel.block_threads(),
+            smem_bytes: kernel.smem_bytes(),
         };
         let t = kernel_time(gpu, &shape, &cost);
         if trace::enabled() {
@@ -338,9 +348,9 @@ fn run_program_inner(
     }
 
     let mut arrays = HashMap::new();
-    for (i, decl) in kp.buffers.iter().enumerate() {
+    for (decl, buf) in kp.buffers.iter().zip(&mut buffers) {
         if let Some(a) = decl.array {
-            arrays.insert(a, buffers[i].data.clone());
+            arrays.insert(a, std::mem::take(&mut buf.data));
         }
     }
     Ok((
@@ -414,117 +424,393 @@ fn emit_kernel_timeline(
     trace::emit(trace::Event::counter("sim", "dram_bytes", ts).arg("bytes", cost.dram_bytes));
 }
 
-/// Resolve every symbolic size in the kernel to a constant.
-fn specialize(k: &Kernel, bindings: &Bindings) -> Kernel {
-    let mut out = k.clone();
-    out.grid = [
-        Size::from(k.grid[0].eval(bindings).max(1)),
-        Size::from(k.grid[1].eval(bindings).max(1)),
-        Size::from(k.grid[2].eval(bindings).max(1)),
-    ];
-    out.body = k.body.iter().map(|s| spec_stmt(s, bindings)).collect();
-    out
-}
-
-fn spec_stmt(s: &Stmt, b: &Bindings) -> Stmt {
-    match s {
-        Stmt::Assign { dst, value } => Stmt::Assign {
-            dst: *dst,
-            value: spec_expr(value, b),
-        },
-        Stmt::Store { buf, idx, value } => Stmt::Store {
-            buf: *buf,
-            idx: spec_expr(idx, b),
-            value: spec_expr(value, b),
-        },
-        Stmt::AtomicRmw {
-            buf,
-            idx,
-            op,
-            value,
-            capture,
-        } => Stmt::AtomicRmw {
-            buf: *buf,
-            idx: spec_expr(idx, b),
-            op: *op,
-            value: spec_expr(value, b),
-            capture: *capture,
-        },
-        Stmt::SmemStore { arr, idx, value } => Stmt::SmemStore {
-            arr: *arr,
-            idx: spec_expr(idx, b),
-            value: spec_expr(value, b),
-        },
-        Stmt::For {
-            var,
-            start,
-            end,
-            step,
-            body,
-        } => Stmt::For {
-            var: *var,
-            start: spec_expr(start, b),
-            end: spec_expr(end, b),
-            step: spec_expr(step, b),
-            body: body.iter().map(|s| spec_stmt(s, b)).collect(),
-        },
-        Stmt::Break => Stmt::Break,
-        Stmt::If { cond, then, els } => Stmt::If {
-            cond: spec_expr(cond, b),
-            then: then.iter().map(|s| spec_stmt(s, b)).collect(),
-            els: els.iter().map(|s| spec_stmt(s, b)).collect(),
-        },
-        Stmt::Sync => Stmt::Sync,
-        Stmt::DeviceMalloc { bytes } => Stmt::DeviceMalloc {
-            bytes: spec_expr(bytes, b),
-        },
-        Stmt::ChildLaunch {
-            kernel,
-            extent,
-            args,
-        } => Stmt::ChildLaunch {
-            kernel: *kernel,
-            extent: spec_expr(extent, b),
-            args: args.iter().map(|a| spec_expr(a, b)).collect(),
-        },
-    }
-}
-
-fn spec_expr(e: &KExpr, b: &Bindings) -> KExpr {
-    match e {
-        KExpr::SizeVal(s) => KExpr::Imm(s.eval(b) as f64),
-        KExpr::Load { buf, idx } => KExpr::Load {
-            buf: *buf,
-            idx: Box::new(spec_expr(idx, b)),
-        },
-        KExpr::SmemLoad { arr, idx } => KExpr::SmemLoad {
-            arr: *arr,
-            idx: Box::new(spec_expr(idx, b)),
-        },
-        KExpr::Bin(op, x, y) => {
-            KExpr::Bin(*op, Box::new(spec_expr(x, b)), Box::new(spec_expr(y, b)))
-        }
-        KExpr::Un(op, x) => KExpr::Un(*op, Box::new(spec_expr(x, b))),
-        KExpr::Select(c, t, f) => KExpr::Select(
-            Box::new(spec_expr(c, b)),
-            Box::new(spec_expr(t, b)),
-            Box::new(spec_expr(f, b)),
-        ),
-        other => other.clone(),
-    }
-}
-
 const W: usize = WARP_SIZE as usize;
 type Lanes = [f64; W];
 type Mask = u32;
 
-struct BlockState {
-    dims: [u32; 3],
+/// Where an operand's lane values come from.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// Decode-time constant, the same in every lane.
+    Const(f64),
+    /// Warp-uniform scalar register.
+    Uni(u16),
+    /// Lane register.
+    Reg(u16),
+    /// A thread-local variable.
+    Local(u32),
+    /// `threadIdx` along an axis, read from the kernel's lane tables.
+    Tid(u8),
+}
+
+impl Src {
+    fn is_uniform(self) -> bool {
+        matches!(self, Src::Const(_) | Src::Uni(_))
+    }
+}
+
+/// One decoded expression node. `Bid`, `Gdim`, `WarpTid` (`threadIdx`
+/// along an axis that is constant across each warp) and the `U*` ops
+/// compute a warp-uniform scalar once; the others write a lane register.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Bid { dst: u16, axis: u8 },
+    WarpTid { dst: u16, axis: u8 },
+    Gdim { dst: u16, axis: u8 },
+    UBin { dst: u16, op: BinOp, a: Src, b: Src },
+    UUn { dst: u16, op: UnOp, a: Src },
+    USelect { dst: u16, c: Src, t: Src, f: Src },
+    Bin { dst: u16, op: BinOp, a: Src, b: Src },
+    Un { dst: u16, op: UnOp, a: Src },
+    Select { dst: u16, c: Src, t: Src, f: Src },
+    Load { dst: u16, buf: u32, idx: Src },
+    SmemLoad { dst: u16, arr: u32, idx: Src },
+}
+
+/// A decoded expression: `ops[start..end]` in post order, leaving the
+/// value in `out`. Evaluating it charges `charge` warp instructions — the
+/// node count of the source tree, folded nodes included.
+#[derive(Debug, Clone, Copy)]
+struct DExpr {
+    start: u32,
+    end: u32,
+    out: Src,
+    charge: u64,
+}
+
+/// A decoded statement. `For`/`If` record whether their bodies contain a
+/// barrier (block-lockstep execution), computed once at decode time.
+#[derive(Debug)]
+enum DStmt {
+    Assign {
+        dst: u32,
+        value: DExpr,
+    },
+    Store {
+        buf: BufId,
+        idx: DExpr,
+        value: DExpr,
+    },
+    Atomic {
+        buf: BufId,
+        idx: DExpr,
+        op: ReduceOp,
+        value: DExpr,
+        capture: Option<u32>,
+    },
+    SmemStore {
+        arr: u32,
+        idx: DExpr,
+        value: DExpr,
+    },
+    For {
+        var: u32,
+        start: DExpr,
+        end: DExpr,
+        step: DExpr,
+        body: Vec<DStmt>,
+        sync: bool,
+    },
+    Break,
+    If {
+        cond: DExpr,
+        then: Vec<DStmt>,
+        els: Vec<DStmt>,
+        sync: bool,
+    },
+    Sync,
+    Malloc {
+        bytes: DExpr,
+    },
+    Launch {
+        kernel: u32,
+        extent: DExpr,
+        args: Vec<DExpr>,
+    },
+}
+
+impl DStmt {
+    fn has_sync(&self) -> bool {
+        match self {
+            DStmt::Sync => true,
+            DStmt::For { sync, .. } | DStmt::If { sync, .. } => *sync,
+            _ => false,
+        }
+    }
+}
+
+/// A kernel decoded for one [`run_program`] call.
+struct Decoded {
+    name: String,
+    /// Launch grid with sizes resolved (child grids are set per launch).
+    grid: [u64; 3],
+    /// Threads per block (at least 1).
     threads: u32,
-    bid: [u32; 3],
-    /// locals[local * threads + tid]
-    locals: Vec<f64>,
-    smem: Vec<Vec<f64>>,
+    warps: u32,
+    /// Does the body contain a barrier?
+    lockstep: bool,
+    locals: usize,
+    smem: Vec<usize>,
+    body: Vec<DStmt>,
+    ops: Vec<Op>,
+    /// Lane and scalar registers the largest statement needs.
+    regs: usize,
+    uregs: usize,
+    /// `threadIdx.{x,y,z}` for every thread slot, padded to whole warps.
+    tid: [Vec<f64>; 3],
+}
+
+impl Decoded {
+    fn new(k: &Kernel, bindings: &Bindings) -> Decoded {
+        let threads = k.block_threads().max(1);
+        let warps = threads.div_ceil(WARP_SIZE);
+        let (dx, dy) = (k.block[0].max(1), k.block[1].max(1));
+        let slots = 0..warps * WARP_SIZE;
+        let tid = [
+            slots.clone().map(|t| (t % dx) as f64).collect(),
+            slots.clone().map(|t| ((t / dx) % dy) as f64).collect(),
+            slots.map(|t| (t / (dx * dy)) as f64).collect(),
+        ];
+        let mut d = Decoder {
+            bindings,
+            block: k.block,
+            ops: Vec::new(),
+            regs: 0,
+            uregs: 0,
+            max_regs: 0,
+            max_uregs: 0,
+        };
+        let body = d.stmts(&k.body);
+        Decoded {
+            name: k.name.clone(),
+            grid: [0, 1, 2].map(|a| k.grid[a].eval(bindings).max(1) as u64),
+            threads,
+            warps,
+            lockstep: body.iter().any(DStmt::has_sync),
+            locals: k.locals as usize,
+            smem: k.smem.iter().map(|s| s.len as usize).collect(),
+            body,
+            ops: d.ops,
+            regs: d.max_regs,
+            uregs: d.max_uregs,
+            tid,
+        }
+    }
+}
+
+struct Decoder<'b> {
+    bindings: &'b Bindings,
+    block: [u32; 3],
+    ops: Vec<Op>,
+    /// Registers handed out within the current statement.
+    regs: usize,
+    uregs: usize,
+    max_regs: usize,
+    max_uregs: usize,
+}
+
+impl Decoder<'_> {
+    fn stmts(&mut self, stmts: &[Stmt]) -> Vec<DStmt> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    /// Registers are numbered per statement: every value a statement
+    /// evaluates stays live until the statement consumes it, while nested
+    /// statements run only after their parent's values are consumed.
+    fn stmt(&mut self, s: &Stmt) -> DStmt {
+        self.regs = 0;
+        self.uregs = 0;
+        match s {
+            Stmt::Assign { dst, value } => DStmt::Assign {
+                dst: *dst,
+                value: self.expr(value),
+            },
+            Stmt::Store { buf, idx, value } => DStmt::Store {
+                buf: *buf,
+                idx: self.expr(idx),
+                value: self.expr(value),
+            },
+            Stmt::AtomicRmw {
+                buf,
+                idx,
+                op,
+                value,
+                capture,
+            } => DStmt::Atomic {
+                buf: *buf,
+                idx: self.expr(idx),
+                op: *op,
+                value: self.expr(value),
+                capture: *capture,
+            },
+            Stmt::SmemStore { arr, idx, value } => DStmt::SmemStore {
+                arr: *arr,
+                idx: self.expr(idx),
+                value: self.expr(value),
+            },
+            Stmt::For {
+                var,
+                start,
+                end,
+                step,
+                body,
+            } => {
+                let (start, end, step) = (self.expr(start), self.expr(end), self.expr(step));
+                let body = self.stmts(body);
+                DStmt::For {
+                    var: *var,
+                    start,
+                    end,
+                    step,
+                    sync: body.iter().any(DStmt::has_sync),
+                    body,
+                }
+            }
+            Stmt::Break => DStmt::Break,
+            Stmt::If { cond, then, els } => {
+                let cond = self.expr(cond);
+                let then = self.stmts(then);
+                let els = self.stmts(els);
+                DStmt::If {
+                    cond,
+                    sync: then.iter().chain(&els).any(DStmt::has_sync),
+                    then,
+                    els,
+                }
+            }
+            Stmt::Sync => DStmt::Sync,
+            Stmt::DeviceMalloc { bytes } => DStmt::Malloc {
+                bytes: self.expr(bytes),
+            },
+            Stmt::ChildLaunch {
+                kernel,
+                extent,
+                args,
+            } => DStmt::Launch {
+                kernel: *kernel,
+                extent: self.expr(extent),
+                args: args.iter().map(|a| self.expr(a)).collect(),
+            },
+        }
+    }
+
+    fn expr(&mut self, e: &KExpr) -> DExpr {
+        let start = self.ops.len() as u32;
+        let mut charge = 0;
+        let out = self.node(e, &mut charge);
+        DExpr {
+            start,
+            end: self.ops.len() as u32,
+            out,
+            charge,
+        }
+    }
+
+    /// Append `make(dst)` writing a fresh scalar (`uniform`) or lane
+    /// register `dst`.
+    fn push(&mut self, uniform: bool, make: impl FnOnce(u16) -> Op) -> Src {
+        let (next, max) = if uniform {
+            (&mut self.uregs, &mut self.max_uregs)
+        } else {
+            (&mut self.regs, &mut self.max_regs)
+        };
+        let dst = u16::try_from(*next).expect("statement exceeds the register file");
+        *next += 1;
+        *max = (*max).max(*next);
+        self.ops.push(make(dst));
+        if uniform {
+            Src::Uni(dst)
+        } else {
+            Src::Reg(dst)
+        }
+    }
+
+    fn node(&mut self, e: &KExpr, charge: &mut u64) -> Src {
+        *charge += 1;
+        match e {
+            KExpr::Imm(v) => Src::Const(*v),
+            KExpr::SizeVal(s) => Src::Const(s.eval(self.bindings) as f64),
+            KExpr::Bdim(a) => Src::Const(f64::from(self.block[a.index()])),
+            KExpr::Local(x) => Src::Local(*x),
+            KExpr::Tid(a) => {
+                // `threadIdx` along a unit axis is 0 on every thread, and
+                // along an axis whose lower axes fill whole warps it is
+                // the same on every lane of a warp (padding lanes beyond
+                // the block are never observed).
+                let axis = a.index() as u8;
+                let [dx, dy, dz] = self.block.map(|d| d.max(1));
+                let (extent, below) = [(dx, 1), (dy, dx), (dz, dx * dy)][a.index()];
+                if extent == 1 {
+                    Src::Const(0.0)
+                } else if below % WARP_SIZE == 0 {
+                    self.push(true, |dst| Op::WarpTid { dst, axis })
+                } else {
+                    Src::Tid(axis)
+                }
+            }
+            KExpr::Bid(a) => {
+                let axis = a.index() as u8;
+                self.push(true, |dst| Op::Bid { dst, axis })
+            }
+            KExpr::Gdim(a) => {
+                let axis = a.index() as u8;
+                self.push(true, |dst| Op::Gdim { dst, axis })
+            }
+            KExpr::Load { buf, idx } => {
+                let idx = self.node(idx, charge);
+                self.push(false, |dst| Op::Load {
+                    dst,
+                    buf: buf.0,
+                    idx,
+                })
+            }
+            KExpr::SmemLoad { arr, idx } => {
+                let idx = self.node(idx, charge);
+                self.push(false, |dst| Op::SmemLoad {
+                    dst,
+                    arr: *arr,
+                    idx,
+                })
+            }
+            KExpr::Bin(op, x, y) => {
+                let (op, a, b) = (*op, self.node(x, charge), self.node(y, charge));
+                if let (Src::Const(x), Src::Const(y)) = (a, b) {
+                    return Src::Const(apply_bin(op, x, y));
+                }
+                let uniform = a.is_uniform() && b.is_uniform();
+                self.push(uniform, |dst| match uniform {
+                    true => Op::UBin { dst, op, a, b },
+                    false => Op::Bin { dst, op, a, b },
+                })
+            }
+            KExpr::Un(op, x) => {
+                let (op, a) = (*op, self.node(x, charge));
+                if let Src::Const(x) = a {
+                    return Src::Const(apply_un(op, x));
+                }
+                let uniform = a.is_uniform();
+                self.push(uniform, |dst| match uniform {
+                    true => Op::UUn { dst, op, a },
+                    false => Op::Un { dst, op, a },
+                })
+            }
+            KExpr::Select(c, t, f) => {
+                let (c, t, f) = (
+                    self.node(c, charge),
+                    self.node(t, charge),
+                    self.node(f, charge),
+                );
+                if let (Src::Const(c), Src::Const(t), Src::Const(f)) = (c, t, f) {
+                    return Src::Const(if c != 0.0 { t } else { f });
+                }
+                let uniform = c.is_uniform() && t.is_uniform() && f.is_uniform();
+                self.push(uniform, |dst| match uniform {
+                    true => Op::USelect { dst, c, t, f },
+                    false => Op::Select { dst, c, t, f },
+                })
+            }
+        }
+    }
 }
 
 /// One device-side launch recorded during parent execution. Child grids
@@ -541,11 +827,168 @@ struct PendingLaunch {
     args: Vec<f64>,
 }
 
+/// Read-only view of everything an operand can name, for one warp.
+struct Operands<'s> {
+    regs: &'s [Lanes],
+    uregs: &'s [f64],
+    locals: &'s [f64],
+    /// Distance between consecutive locals in `locals`.
+    stride: usize,
+    tid: &'s [Vec<f64>; 3],
+    /// First thread slot of the warp.
+    wb: usize,
+}
+
+/// An operand's value: per-lane, or one warp-uniform scalar.
+#[derive(Clone, Copy)]
+enum Val<'t> {
+    Lanes(&'t Lanes),
+    Splat(f64),
+}
+
+impl<'t> Val<'t> {
+    /// Per-lane values, broadcasting a scalar into `tmp`.
+    #[inline]
+    fn lanes(self, tmp: &'t mut Lanes) -> &'t Lanes {
+        match self {
+            Val::Lanes(v) => v,
+            Val::Splat(s) => {
+                *tmp = [s; W];
+                tmp
+            }
+        }
+    }
+}
+
+impl Operands<'_> {
+    #[inline]
+    fn get(&self, src: Src) -> Val<'_> {
+        match src {
+            Src::Reg(r) => Val::Lanes(&self.regs[r as usize]),
+            Src::Local(x) => {
+                Val::Lanes(lane_slice(self.locals, x as usize * self.stride + self.wb))
+            }
+            Src::Tid(a) => Val::Lanes(lane_slice(&self.tid[a as usize], self.wb)),
+            Src::Uni(r) => Val::Splat(self.uregs[r as usize]),
+            Src::Const(v) => Val::Splat(v),
+        }
+    }
+}
+
+#[inline]
+fn lane_slice(v: &[f64], at: usize) -> &Lanes {
+    v[at..at + W].try_into().expect("lane-aligned slice")
+}
+
+/// The value of a uniform operand.
+#[inline]
+fn uniform(uregs: &[f64], src: Src) -> f64 {
+    match src {
+        Src::Const(v) => v,
+        Src::Uni(r) => uregs[r as usize],
+        _ => unreachable!("uniform op over a per-lane operand"),
+    }
+}
+
+/// Lane values an operator reads: a lane vector or a broadcast scalar
+/// (kept in a register instead of memory).
+trait LaneVals: Copy {
+    fn at(self, l: usize) -> f64;
+}
+
+impl LaneVals for &Lanes {
+    #[inline(always)]
+    fn at(self, l: usize) -> f64 {
+        self[l]
+    }
+}
+
+impl LaneVals for f64 {
+    #[inline(always)]
+    fn at(self, _: usize) -> f64 {
+        self
+    }
+}
+
+/// `out[l] = x[l] op y[l]` over all lanes, one loop per operator.
+#[inline(always)]
+fn bin_lanes<A: LaneVals, B: LaneVals>(op: BinOp, x: A, y: B, out: &mut Lanes) {
+    macro_rules! each {
+        ($op:expr) => {
+            for (l, o) in out.iter_mut().enumerate() {
+                *o = apply_bin($op, x.at(l), y.at(l));
+            }
+        };
+    }
+    match op {
+        BinOp::Add => each!(BinOp::Add),
+        BinOp::Sub => each!(BinOp::Sub),
+        BinOp::Mul => each!(BinOp::Mul),
+        BinOp::Div => each!(BinOp::Div),
+        BinOp::Rem => each!(BinOp::Rem),
+        BinOp::Min => each!(BinOp::Min),
+        BinOp::Max => each!(BinOp::Max),
+        BinOp::Lt => each!(BinOp::Lt),
+        BinOp::Le => each!(BinOp::Le),
+        BinOp::Gt => each!(BinOp::Gt),
+        BinOp::Ge => each!(BinOp::Ge),
+        BinOp::Eq => each!(BinOp::Eq),
+        BinOp::Ne => each!(BinOp::Ne),
+        BinOp::And => each!(BinOp::And),
+        BinOp::Or => each!(BinOp::Or),
+    }
+}
+
+/// `out[l] = op x[l]` over all lanes, one loop per operator.
+fn un_lanes(op: UnOp, x: &Lanes, out: &mut Lanes) {
+    macro_rules! each {
+        ($op:expr) => {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = apply_un($op, v);
+            }
+        };
+    }
+    match op {
+        UnOp::Neg => each!(UnOp::Neg),
+        UnOp::Not => each!(UnOp::Not),
+        UnOp::Sqrt => each!(UnOp::Sqrt),
+        UnOp::Exp => each!(UnOp::Exp),
+        UnOp::Log => each!(UnOp::Log),
+        UnOp::Abs => each!(UnOp::Abs),
+        UnOp::Floor => each!(UnOp::Floor),
+    }
+}
+
+/// The lanes (of all 32; callers mask) where `v` is non-zero.
+#[inline]
+fn nonzero(v: Val<'_>) -> Mask {
+    match v {
+        Val::Splat(s) => {
+            if s != 0.0 {
+                Mask::MAX
+            } else {
+                0
+            }
+        }
+        Val::Lanes(v) => {
+            let mut m = 0;
+            for (l, x) in v.iter().enumerate() {
+                m |= Mask::from(*x != 0.0) << l;
+            }
+            m
+        }
+    }
+}
+
+/// Execution state of one grid launch. Block state (locals, shared
+/// memory) and the per-warp registers are allocated once and reset
+/// between blocks.
 struct Exec<'a> {
     gpu: &'a GpuSpec,
-    buffers: &'a mut Vec<DeviceBuffer>,
+    k: &'a Decoded,
+    grid: [u64; 3],
+    buffers: &'a mut [DeviceBuffer],
     cost: KernelCost,
-    kernel: &'a Kernel,
     /// Sanitizer hook: records every non-atomic global store when set.
     san: Option<&'a mut WriteTracker>,
     /// Child launches issued by this grid, drained by the caller.
@@ -557,50 +1000,72 @@ struct Exec<'a> {
     /// Launch arguments (child grids only): values for locals `0..n`,
     /// uniform across every thread of the grid.
     launch_args: &'a [f64],
+    bid: [u32; 3],
+    /// `locals[local * stride + thread]`, `stride` = whole warps of
+    /// threads, so every warp's lanes are in bounds.
+    locals: Vec<f64>,
+    stride: usize,
+    smem: Vec<Vec<f64>>,
+    regs: Vec<Lanes>,
+    uregs: Vec<f64>,
+    /// Broadcast scratch for uniform operands of lane ops.
+    bcast: [Lanes; 3],
 }
 
 impl<'a> Exec<'a> {
+    fn new(
+        gpu: &'a GpuSpec,
+        k: &'a Decoded,
+        grid: [u64; 3],
+        buffers: &'a mut [DeviceBuffer],
+        san: Option<&'a mut WriteTracker>,
+        pending: &'a mut Vec<PendingLaunch>,
+    ) -> Exec<'a> {
+        let stride = k.warps as usize * W;
+        Exec {
+            gpu,
+            k,
+            grid,
+            buffers,
+            cost: KernelCost::default(),
+            san,
+            pending,
+            tid_base: 0,
+            launch_args: &[],
+            bid: [0; 3],
+            locals: vec![0.0; k.locals * stride],
+            stride,
+            smem: k.smem.iter().map(|&n| vec![0.0; n]).collect(),
+            regs: vec![[0.0; W]; k.regs],
+            uregs: vec![0.0; k.uregs],
+            bcast: [[0.0; W]; 3],
+        }
+    }
+
     /// Run all blocks; returns the number of blocks launched.
     fn run(&mut self) -> Result<u64, SimError> {
-        let g = [
-            size_const(&self.kernel.grid[0]),
-            size_const(&self.kernel.grid[1]),
-            size_const(&self.kernel.grid[2]),
-        ];
-        let dims = self.kernel.block;
-        let threads = self.kernel.block_threads().max(1);
-        let lockstep = self.kernel.has_sync();
-        let smem: Vec<Vec<f64>> = self
-            .kernel
-            .smem
-            .iter()
-            .map(|d| vec![0.0; d.len as usize])
-            .collect();
-
+        let k = self.k;
+        let g = self.grid;
+        let threads = k.threads as usize;
         for bz in 0..g[2] {
             for by in 0..g[1] {
                 for bx in 0..g[0] {
-                    let mut blk = BlockState {
-                        dims,
-                        threads,
-                        bid: [bx as u32, by as u32, bz as u32],
-                        locals: vec![0.0; self.kernel.locals as usize * threads as usize],
-                        smem: smem.clone(),
-                    };
+                    self.bid = [bx as u32, by as u32, bz as u32];
+                    self.locals.fill(0.0);
+                    for s in &mut self.smem {
+                        s.fill(0.0);
+                    }
                     // Child grids: launch arguments arrive as the leading
                     // locals, identical for every thread of the block.
                     for (a, &v) in self.launch_args.iter().enumerate() {
-                        for t in 0..threads as usize {
-                            blk.locals[a * threads as usize + t] = v;
-                        }
+                        let at = a * self.stride;
+                        self.locals[at..at + threads].fill(v);
                     }
-                    if lockstep {
-                        self.exec_block(&self.kernel.body, &mut blk)?;
+                    if k.lockstep {
+                        self.exec_block(&k.body)?;
                     } else {
-                        let warps = threads.div_ceil(WARP_SIZE);
-                        for w in 0..warps {
-                            let mask = full_mask(threads, w);
-                            self.exec_warp(&self.kernel.body, &mut blk, w, mask)?;
+                        for w in 0..k.warps {
+                            self.exec_warp(&k.body, w, full_mask(k.threads, w))?;
                         }
                     }
                 }
@@ -610,57 +1075,56 @@ impl<'a> Exec<'a> {
     }
 
     /// Block-lockstep execution (statements with internal `Sync`).
-    fn exec_block(&mut self, stmts: &[Stmt], blk: &mut BlockState) -> Result<(), SimError> {
-        let warps = blk.threads.div_ceil(WARP_SIZE);
+    fn exec_block(&mut self, stmts: &[DStmt]) -> Result<(), SimError> {
+        let k = self.k;
         for s in stmts {
-            if !stmt_has_sync(s) {
-                for w in 0..warps {
-                    let mask = full_mask(blk.threads, w);
-                    let broken = self.exec_warp(std::slice::from_ref(s), blk, w, mask)?;
-                    debug_assert_eq!(broken, 0, "break escaping to block level");
-                }
-                continue;
-            }
             match s {
-                Stmt::Sync => self.cost.syncs += warps as u64,
-                Stmt::For {
+                DStmt::Sync => self.cost.syncs += u64::from(k.warps),
+                DStmt::For {
                     var,
                     start,
                     end,
                     step,
                     body,
+                    sync: true,
                 } => {
                     // Bounds must be block-uniform: evaluate on warp 0 lane 0.
-                    let s0 = self.eval_scalar(start, blk, 0, 0)?;
-                    let step0 = self.eval_scalar(step, blk, 0, 0)?;
+                    let s0 = self.eval_scalar(start)?;
+                    let step0 = self.eval_scalar(step)?;
                     if step0 <= 0.0 {
                         return Err(SimError("non-positive uniform loop step".into()));
                     }
                     let mut v = s0;
                     loop {
-                        let e0 = self.eval_scalar(end, blk, 0, 0)?;
+                        let e0 = self.eval_scalar(end)?;
                         if v >= e0 {
                             break;
                         }
-                        for t in 0..blk.threads {
-                            blk.locals[*var as usize * blk.threads as usize + t as usize] = v;
-                        }
-                        self.exec_block(body, blk)?;
+                        let at = *var as usize * self.stride;
+                        self.locals[at..at + k.threads as usize].fill(v);
+                        self.exec_block(body)?;
                         v += step0;
                     }
                 }
-                Stmt::If { cond, then, els } => {
-                    let c = self.eval_scalar(cond, blk, 0, 0)?;
+                DStmt::If {
+                    cond,
+                    then,
+                    els,
+                    sync: true,
+                } => {
+                    let c = self.eval_scalar(cond)?;
                     if c != 0.0 {
-                        self.exec_block(then, blk)?;
+                        self.exec_block(then)?;
                     } else {
-                        self.exec_block(els, blk)?;
+                        self.exec_block(els)?;
                     }
                 }
-                other => {
-                    return Err(SimError(format!(
-                        "statement {other:?} cannot contain __syncthreads"
-                    )))
+                _ => {
+                    for w in 0..k.warps {
+                        let mask = full_mask(k.threads, w);
+                        let broken = self.exec_warp(std::slice::from_ref(s), w, mask)?;
+                        debug_assert_eq!(broken, 0, "break escaping to block level");
+                    }
                 }
             }
         }
@@ -669,179 +1133,138 @@ impl<'a> Exec<'a> {
 
     /// Per-warp masked execution; returns the set of lanes that executed
     /// `Break`.
-    fn exec_warp(
-        &mut self,
-        stmts: &[Stmt],
-        blk: &mut BlockState,
-        warp: u32,
-        mut mask: Mask,
-    ) -> Result<Mask, SimError> {
+    fn exec_warp(&mut self, stmts: &[DStmt], warp: u32, mut mask: Mask) -> Result<Mask, SimError> {
+        let wb = warp as usize * W;
         let mut broken: Mask = 0;
         for s in stmts {
             if mask == 0 {
                 break;
             }
             match s {
-                Stmt::Assign { dst, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let base = *dst as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                    for l in lanes(mask) {
-                        blk.locals[base + l] = v[l];
-                    }
+                DStmt::Assign { dst, value } => {
+                    let v = self.eval(value, wb, mask)?;
+                    let v = self.values(v, wb);
+                    self.write_local(*dst, wb, mask, &v);
                 }
-                Stmt::Store { buf, idx, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
-                    self.global_access(*buf, &ix, mask, Some(&v), None)?;
-                    if let Some(tracker) = self.san.as_mut() {
-                        // `global_access` validated every index, so the
-                        // casts below are exact.
-                        let g = [
-                            size_const(&self.kernel.grid[0]),
-                            size_const(&self.kernel.grid[1]),
-                        ];
-                        let blk_lin = (u64::from(blk.bid[2]) * g[1] + u64::from(blk.bid[1])) * g[0]
-                            + u64::from(blk.bid[0]);
-                        let base_tid = self.tid_base
-                            + blk_lin * u64::from(blk.threads)
-                            + u64::from(warp * WARP_SIZE);
-                        for l in lanes(mask) {
-                            tracker.record(*buf, ix[l] as u64, base_tid + l as u64);
-                        }
-                    }
+                DStmt::Store { buf, idx, value } => {
+                    let v = self.eval(value, wb, mask)?;
+                    let ix = self.eval(idx, wb, mask)?;
+                    let (v, ix) = (self.values(v, wb), self.values(ix, wb));
+                    self.store(*buf, &ix, &v, mask, warp)?;
                 }
-                Stmt::AtomicRmw {
+                DStmt::Atomic {
                     buf,
                     idx,
                     op,
                     value,
                     capture,
                 } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
+                    let v = self.eval(value, wb, mask)?;
+                    let ix = self.eval(idx, wb, mask)?;
+                    let (v, ix) = (self.values(v, wb), self.values(ix, wb));
                     let old = self.atomic(*buf, &ix, mask, &v, *op)?;
                     if let Some(c) = capture {
-                        let base = *c as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                        for l in lanes(mask) {
-                            blk.locals[base + l] = old[l];
-                        }
+                        self.write_local(*c, wb, mask, &old);
                     }
                 }
-                Stmt::SmemStore { arr, idx, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
-                    self.smem_cost(&ix, mask);
-                    let a = *arr as usize;
+                DStmt::SmemStore { arr, idx, value } => {
+                    let v = self.eval(value, wb, mask)?;
+                    let ix = self.eval(idx, wb, mask)?;
+                    let (v, ix) = (self.values(v, wb), self.values(ix, wb));
+                    let s = &mut self.smem[*arr as usize];
+                    let mut words = [0u64; W];
+                    let mut n = 0usize;
                     for l in lanes(mask) {
-                        let i = to_index(ix[l], blk.smem[a].len(), "shared store")?;
-                        blk.smem[a][i] = v[l];
+                        let i = to_index(ix[l], s.len(), "shared store")?;
+                        words[n] = i as u64;
+                        n += 1;
+                        s[i] = v[l];
                     }
+                    self.smem_cost(&words[..n]);
                 }
-                Stmt::For {
+                DStmt::For {
                     var,
                     start,
                     end,
                     step,
                     body,
+                    ..
                 } => {
-                    let mut sv = [0.0; W];
-                    self.eval(start, blk, warp, mask, &mut sv)?;
-                    let base = *var as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                    for l in lanes(mask) {
-                        blk.locals[base + l] = sv[l];
-                    }
+                    let sv = self.eval(start, wb, mask)?;
+                    let sv = self.values(sv, wb);
+                    self.write_local(*var, wb, mask, &sv);
+                    let at = *var as usize * self.stride + wb;
                     let mut active = mask;
                     loop {
                         // cond: var < end
-                        let mut ev = [0.0; W];
-                        self.eval(end, blk, warp, active, &mut ev)?;
+                        let ev = self.eval(end, wb, active)?;
+                        let ev = self.values(ev, wb);
                         self.cost.warp_instr += 1;
+                        let cur = lane_slice(&self.locals, at);
                         let mut next: Mask = 0;
-                        for l in lanes(active) {
-                            let vv = blk.locals[*var as usize * blk.threads as usize
-                                + (warp * WARP_SIZE) as usize
-                                + l];
-                            if vv < ev[l] {
-                                next |= 1 << l;
-                            }
+                        for l in 0..W {
+                            next |= Mask::from(cur[l] < ev[l]) << l;
                         }
+                        next &= active;
                         if next == 0 {
                             break;
                         }
-                        let b = self.exec_warp(body, blk, warp, next)?;
+                        let b = self.exec_warp(body, warp, next)?;
                         let cont = next & !b;
                         if cont == 0 {
                             break;
                         }
-                        // step
-                        let mut stv = [0.0; W];
-                        self.eval(step, blk, warp, cont, &mut stv)?;
+                        let stv = self.eval(step, wb, cont)?;
+                        let stv = self.values(stv, wb);
+                        let cur = &mut self.locals[at..at + W];
                         for l in lanes(cont) {
-                            blk.locals[*var as usize * blk.threads as usize
-                                + (warp * WARP_SIZE) as usize
-                                + l] += stv[l];
+                            cur[l] += stv[l];
                         }
                         active = cont;
-                        if active == 0 {
-                            break;
-                        }
                     }
                 }
-                Stmt::Break => {
+                DStmt::Break => {
                     broken |= mask;
                     mask = 0;
                 }
-                Stmt::If { cond, then, els } => {
-                    let mut cv = [0.0; W];
-                    self.eval(cond, blk, warp, mask, &mut cv)?;
-                    let mut tmask: Mask = 0;
-                    for l in lanes(mask) {
-                        if cv[l] != 0.0 {
-                            tmask |= 1 << l;
-                        }
-                    }
+                DStmt::If {
+                    cond, then, els, ..
+                } => {
+                    let c = self.eval(cond, wb, mask)?;
+                    let tmask = mask & nonzero(self.operands(wb).get(c));
                     let emask = mask & !tmask;
                     let mut b = 0;
                     if tmask != 0 {
-                        b |= self.exec_warp(then, blk, warp, tmask)?;
+                        b |= self.exec_warp(then, warp, tmask)?;
                     }
                     if emask != 0 {
-                        b |= self.exec_warp(els, blk, warp, emask)?;
+                        b |= self.exec_warp(els, warp, emask)?;
                     }
                     broken |= b;
                     mask &= !b;
                 }
-                Stmt::Sync => {
+                DStmt::Sync => {
                     // A sync reached in per-warp mode is only legal when the
                     // kernel has no cross-warp dependence (single-warp
                     // blocks); treat as a cost event.
                     self.cost.syncs += 1;
                 }
-                Stmt::DeviceMalloc { bytes } => {
-                    let mut bv = [0.0; W];
-                    self.eval(bytes, blk, warp, mask, &mut bv)?;
-                    self.cost.mallocs += mask.count_ones() as u64;
+                DStmt::Malloc { bytes } => {
+                    self.eval(bytes, wb, mask)?;
+                    self.cost.mallocs += u64::from(mask.count_ones());
                     self.cost.warp_instr += 1;
                 }
-                Stmt::ChildLaunch {
+                DStmt::Launch {
                     kernel,
                     extent,
                     args,
                 } => {
-                    let mut ev = [0.0; W];
-                    self.eval(extent, blk, warp, mask, &mut ev)?;
+                    let ev = self.eval(extent, wb, mask)?;
+                    let ev = self.values(ev, wb);
                     let mut av: Vec<Lanes> = Vec::with_capacity(args.len());
                     for a in args {
-                        let mut lane_vals = [0.0; W];
-                        self.eval(a, blk, warp, mask, &mut lane_vals)?;
-                        av.push(lane_vals);
+                        let v = self.eval(a, wb, mask)?;
+                        av.push(self.values(v, wb));
                     }
                     for l in lanes(mask) {
                         let e = ev[l];
@@ -869,160 +1292,189 @@ impl<'a> Exec<'a> {
         Ok(broken)
     }
 
-    /// Evaluate `e` for every active lane of `warp` into `out`.
-    fn eval(
-        &mut self,
-        e: &KExpr,
-        blk: &mut BlockState,
-        warp: u32,
-        mask: Mask,
-        out: &mut Lanes,
-    ) -> Result<(), SimError> {
-        self.cost.warp_instr += 1;
-        let warp_base = warp * WARP_SIZE;
-        match e {
-            KExpr::Imm(v) => {
-                for l in lanes(mask) {
-                    out[l] = *v;
+    /// Evaluate `e` for the active lanes of the warp starting at thread
+    /// slot `wb`; returns where the value lives.
+    fn eval(&mut self, e: &DExpr, wb: usize, mask: Mask) -> Result<Src, SimError> {
+        self.cost.warp_instr += e.charge;
+        let k = self.k;
+        for op in &k.ops[e.start as usize..e.end as usize] {
+            self.op(*op, wb, mask)?;
+        }
+        Ok(e.out)
+    }
+
+    fn op(&mut self, op: Op, wb: usize, mask: Mask) -> Result<(), SimError> {
+        let dst = match op {
+            Op::Bid { dst, axis } => {
+                self.uregs[dst as usize] = f64::from(self.bid[axis as usize]);
+                return Ok(());
+            }
+            Op::WarpTid { dst, axis } => {
+                self.uregs[dst as usize] = self.k.tid[axis as usize][wb];
+                return Ok(());
+            }
+            Op::Gdim { dst, axis } => {
+                self.uregs[dst as usize] = self.grid[axis as usize] as f64;
+                return Ok(());
+            }
+            Op::UBin { dst, op, a, b } => {
+                let v = apply_bin(op, uniform(&self.uregs, a), uniform(&self.uregs, b));
+                self.uregs[dst as usize] = v;
+                return Ok(());
+            }
+            Op::UUn { dst, op, a } => {
+                self.uregs[dst as usize] = apply_un(op, uniform(&self.uregs, a));
+                return Ok(());
+            }
+            Op::USelect { dst, c, t, f } => {
+                let u = &self.uregs;
+                let v = if uniform(u, c) != 0.0 {
+                    uniform(u, t)
+                } else {
+                    uniform(u, f)
+                };
+                self.uregs[dst as usize] = v;
+                return Ok(());
+            }
+            Op::Bin { dst, .. }
+            | Op::Un { dst, .. }
+            | Op::Select { dst, .. }
+            | Op::Load { dst, .. }
+            | Op::SmemLoad { dst, .. } => dst as usize,
+        };
+        // Registers are assigned in post order, so every operand register
+        // is below the destination.
+        let (lo, hi) = self.regs.split_at_mut(dst);
+        let out = &mut hi[0];
+        let v = Operands {
+            regs: lo,
+            uregs: &self.uregs,
+            locals: &self.locals,
+            stride: self.stride,
+            tid: &self.k.tid,
+            wb,
+        };
+        let [t0, t1, t2] = &mut self.bcast;
+        match op {
+            Op::Bin { op, a, b, .. } => match (v.get(a), v.get(b)) {
+                (Val::Lanes(x), Val::Lanes(y)) => bin_lanes(op, x, y, out),
+                (Val::Lanes(x), Val::Splat(y)) => bin_lanes(op, x, y, out),
+                (Val::Splat(x), Val::Lanes(y)) => bin_lanes(op, x, y, out),
+                (Val::Splat(x), Val::Splat(y)) => *out = [apply_bin(op, x, y); W],
+            },
+            Op::Un { op, a, .. } => un_lanes(op, v.get(a).lanes(t0), out),
+            Op::Select { c, t, f, .. } => {
+                let (c, t, f) = (v.get(c).lanes(t0), v.get(t).lanes(t1), v.get(f).lanes(t2));
+                for (l, o) in out.iter_mut().enumerate() {
+                    *o = if c[l] != 0.0 { t[l] } else { f[l] };
                 }
             }
-            KExpr::Local(x) => {
-                let base = *x as usize * blk.threads as usize + warp_base as usize;
+            Op::Load { buf, idx, .. } => {
+                let ix = v.get(idx).lanes(t0);
+                let b = &self.buffers[buf as usize];
+                let mut addrs = [0u64; W];
+                let mut n = 0usize;
                 for l in lanes(mask) {
-                    out[l] = blk.locals[base + l];
+                    let i = to_index(ix[l], b.data.len(), "global access")?;
+                    addrs[n] = b.base + i as u64 * b.elem_bytes;
+                    n += 1;
+                    out[l] = b.data[i];
                 }
+                charge_global(self.gpu, &mut self.cost, &addrs[..n]);
             }
-            KExpr::Tid(a) => {
-                let (dx, dy) = (blk.dims[0].max(1), blk.dims[1].max(1));
+            Op::SmemLoad { arr, idx, .. } => {
+                let ix = v.get(idx).lanes(t0);
+                let s = &self.smem[arr as usize];
+                let mut words = [0u64; W];
+                let mut n = 0usize;
                 for l in lanes(mask) {
-                    let t = warp_base + l as u32;
-                    out[l] = match a.index() {
-                        0 => (t % dx) as f64,
-                        1 => ((t / dx) % dy) as f64,
-                        _ => (t / (dx * dy)) as f64,
-                    };
+                    let i = to_index(ix[l], s.len(), "shared load")?;
+                    words[n] = i as u64;
+                    n += 1;
+                    out[l] = s[i];
                 }
+                self.smem_cost(&words[..n]);
             }
-            KExpr::Bid(a) => {
-                let v = blk.bid[a.index()] as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::Bdim(a) => {
-                let v = blk.dims[a.index()] as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::Gdim(a) => {
-                let v = size_const(&self.kernel.grid[a.index()]) as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::SizeVal(s) => {
-                // Normally removed by specialization.
-                let v = size_const(s) as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::Load { buf, idx } => {
-                let mut ix = [0.0; W];
-                self.eval(idx, blk, warp, mask, &mut ix)?;
-                self.global_access(*buf, &ix, mask, None, Some(out))?;
-            }
-            KExpr::SmemLoad { arr, idx } => {
-                let mut ix = [0.0; W];
-                self.eval(idx, blk, warp, mask, &mut ix)?;
-                self.smem_cost(&ix, mask);
-                let a = *arr as usize;
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], blk.smem[a].len(), "shared load")?;
-                    out[l] = blk.smem[a][i];
-                }
-            }
-            KExpr::Bin(op, x, y) => {
-                let mut xv = [0.0; W];
-                self.eval(x, blk, warp, mask, &mut xv)?;
-                let mut yv = [0.0; W];
-                self.eval(y, blk, warp, mask, &mut yv)?;
-                for l in lanes(mask) {
-                    out[l] = apply_bin(*op, xv[l], yv[l]);
-                }
-            }
-            KExpr::Un(op, x) => {
-                let mut xv = [0.0; W];
-                self.eval(x, blk, warp, mask, &mut xv)?;
-                for l in lanes(mask) {
-                    out[l] = apply_un(*op, xv[l]);
-                }
-            }
-            KExpr::Select(c, t, f) => {
-                let mut cv = [0.0; W];
-                self.eval(c, blk, warp, mask, &mut cv)?;
-                let mut tv = [0.0; W];
-                self.eval(t, blk, warp, mask, &mut tv)?;
-                let mut fv = [0.0; W];
-                self.eval(f, blk, warp, mask, &mut fv)?;
-                for l in lanes(mask) {
-                    out[l] = if cv[l] != 0.0 { tv[l] } else { fv[l] };
-                }
-            }
+            _ => unreachable!("scalar ops return early"),
         }
         Ok(())
     }
 
-    /// Evaluate a (block-uniform) expression on a single lane.
-    fn eval_scalar(
-        &mut self,
-        e: &KExpr,
-        blk: &mut BlockState,
-        warp: u32,
-        lane: u32,
-    ) -> Result<f64, SimError> {
-        let mut out = [0.0; W];
-        self.eval(e, blk, warp, 1 << lane, &mut out)?;
-        Ok(out[lane as usize])
+    /// A copy of `src`'s lane values (statements consume values while
+    /// writing locals, so they take them by value).
+    fn values(&self, src: Src, wb: usize) -> Lanes {
+        match self.operands(wb).get(src) {
+            Val::Lanes(v) => *v,
+            Val::Splat(s) => [s; W],
+        }
     }
 
-    /// Shared load/store (coalesced) or a load into `out` / store of
-    /// `store` values for one warp request.
-    fn global_access(
+    fn operands(&self, wb: usize) -> Operands<'_> {
+        Operands {
+            regs: &self.regs,
+            uregs: &self.uregs,
+            locals: &self.locals,
+            stride: self.stride,
+            tid: &self.k.tid,
+            wb,
+        }
+    }
+
+    fn write_local(&mut self, local: u32, wb: usize, mask: Mask, v: &Lanes) {
+        let at = local as usize * self.stride + wb;
+        let slot = &mut self.locals[at..at + W];
+        if mask == Mask::MAX {
+            slot.copy_from_slice(v);
+        } else {
+            for l in lanes(mask) {
+                slot[l] = v[l];
+            }
+        }
+    }
+
+    /// Evaluate a (block-uniform) expression on warp 0, lane 0.
+    fn eval_scalar(&mut self, e: &DExpr) -> Result<f64, SimError> {
+        let src = self.eval(e, 0, 1)?;
+        Ok(match self.operands(0).get(src) {
+            Val::Lanes(v) => v[0],
+            Val::Splat(s) => s,
+        })
+    }
+
+    /// One warp's global store: every active lane's index is checked
+    /// before any lane writes; lanes write (and are recorded by the
+    /// sanitizer) in ascending order.
+    fn store(
         &mut self,
         buf: BufId,
         ix: &Lanes,
+        v: &Lanes,
         mask: Mask,
-        store: Option<&Lanes>,
-        load_out: Option<&mut Lanes>,
+        warp: u32,
     ) -> Result<(), SimError> {
         let b = &mut self.buffers[buf.0 as usize];
+        let mut idx = [0usize; W];
         let mut addrs = [0u64; W];
         let mut n = 0usize;
         for l in lanes(mask) {
             let i = to_index(ix[l], b.data.len(), "global access")?;
+            idx[n] = i;
             addrs[n] = b.base + i as u64 * b.elem_bytes;
             n += 1;
         }
-        let (tx, bytes) = coalesce(self.gpu, &addrs[..n]);
-        self.cost.mem_requests += 1;
-        self.cost.transactions += tx;
-        self.cost.dram_bytes += bytes;
-        match (store, load_out) {
-            (Some(v), _) => {
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], b.data.len(), "global store")?;
-                    b.data[i] = v[l];
-                }
+        for (l, &i) in lanes(mask).zip(&idx) {
+            b.data[i] = v[l];
+        }
+        charge_global(self.gpu, &mut self.cost, &addrs[..n]);
+        if let Some(tracker) = self.san.as_mut() {
+            let g = self.grid;
+            let bid = self.bid;
+            let blk_lin = (u64::from(bid[2]) * g[1] + u64::from(bid[1])) * g[0] + u64::from(bid[0]);
+            let base_tid =
+                self.tid_base + blk_lin * u64::from(self.k.threads) + u64::from(warp * WARP_SIZE);
+            for (l, &i) in lanes(mask).zip(&idx) {
+                tracker.record(buf, i as u64, base_tid + l as u64);
             }
-            (None, Some(out)) => {
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], b.data.len(), "global load")?;
-                    out[l] = b.data[i];
-                }
-            }
-            (None, None) => {}
         }
         Ok(())
     }
@@ -1048,39 +1500,27 @@ impl<'a> Exec<'a> {
             old[l] = b.data[i];
             b.data[i] = op.apply(b.data[i], v[l]);
         }
-        let (tx, bytes) = coalesce(self.gpu, &addrs[..n]);
-        self.cost.mem_requests += 1;
-        self.cost.transactions += tx;
-        self.cost.dram_bytes += bytes;
+        let addrs = &addrs[..n];
+        charge_global(self.gpu, &mut self.cost, addrs);
         // Contention: lanes beyond the first hitting the same address
         // serialize.
-        let distinct = {
-            let mut d = 0usize;
-            for i in 0..n {
-                if !addrs[..i].contains(&addrs[i]) {
-                    d += 1;
-                }
-            }
-            d
-        };
+        let distinct = (0..n).filter(|&i| !addrs[..i].contains(&addrs[i])).count();
         self.cost.atomic_serial += (n - distinct) as u64;
         Ok(old)
     }
 
-    fn smem_cost(&mut self, ix: &Lanes, mask: Mask) {
-        let mut words = [0u64; W];
-        let mut n = 0usize;
-        for l in lanes(mask) {
-            words[n] = ix[l] as u64;
-            n += 1;
-        }
+    fn smem_cost(&mut self, words: &[u64]) {
         self.cost.smem_accesses += 1;
-        self.cost.smem_conflicts += bank_conflicts(self.gpu.smem_banks, &words[..n]);
+        self.cost.smem_conflicts += bank_conflicts(self.gpu.smem_banks, words);
     }
 }
 
-fn size_const(s: &Size) -> u64 {
-    s.eval(&Bindings::new()).max(0) as u64
+/// Charge one warp-level global request touching `addrs`.
+fn charge_global(gpu: &GpuSpec, cost: &mut KernelCost, addrs: &[u64]) {
+    let (tx, bytes) = coalesce(gpu, addrs);
+    cost.mem_requests += 1;
+    cost.transactions += tx;
+    cost.dram_bytes += bytes;
 }
 
 fn full_mask(threads: u32, warp: u32) -> Mask {
@@ -1095,11 +1535,32 @@ fn full_mask(threads: u32, warp: u32) -> Mask {
     }
 }
 
-fn lanes(mask: Mask) -> impl Iterator<Item = usize> {
-    (0..W).filter(move |l| mask & (1 << l) != 0)
+/// The set lanes of `mask`, ascending.
+#[inline]
+fn lanes(mut mask: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
 }
 
+/// Check a lane's index value against a buffer of `len` elements.
+#[inline]
 fn to_index(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
+    // Fast path: `v` is an integer in `0..len` exactly when truncating it
+    // round-trips and lands in range.
+    let i = v as i64;
+    if i as f64 == v && i >= 0 && (i as usize) < len {
+        return Ok(i as usize);
+    }
+    index_error(v, len, what)
+}
+
+#[cold]
+fn index_error(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
     if !v.is_finite() || v.fract() != 0.0 {
         return Err(SimError(format!("{what}: non-integral index {v}")));
     }
@@ -1112,21 +1573,11 @@ fn to_index(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
     Ok(i as usize)
 }
 
-fn stmt_has_sync(s: &Stmt) -> bool {
-    match s {
-        Stmt::Sync => true,
-        Stmt::For { body, .. } => body.iter().any(stmt_has_sync),
-        Stmt::If { then, els, .. } => {
-            then.iter().any(stmt_has_sync) || els.iter().any(stmt_has_sync)
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use multidim_codegen::{Axis, BufferDecl, SmemDecl};
+    use multidim_ir::Size;
 
     fn gpu() -> GpuSpec {
         GpuSpec::tesla_k20c()
@@ -1429,6 +1880,7 @@ mod tests {
 mod more_tests {
     use super::*;
     use multidim_codegen::{Axis, BufferDecl, SmemDecl};
+    use multidim_ir::Size;
 
     fn gpu() -> GpuSpec {
         GpuSpec::tesla_k20c()
@@ -1578,7 +2030,7 @@ mod more_tests {
         assert_eq!(r.array(ArrayId(0))[0], 64.0);
     }
 
-    /// Specialization resolves symbolic sizes before execution.
+    /// Decoding resolves symbolic sizes before execution.
     #[test]
     fn symbolic_grid_sizes_resolve() {
         let n = multidim_ir::SymId(0);

@@ -24,20 +24,63 @@ use multidim_device::{GpuSpec, WARP_SIZE};
 /// assert_eq!(coalesce(&gpu, &strided), (32, 32 * 128));
 /// ```
 pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
-    if byte_addrs.is_empty() {
-        return (0, 0);
-    }
     let seg = gpu.transaction_bytes.max(1);
-    let mut segments: [u64; WARP_SIZE as usize] = [u64::MAX; WARP_SIZE as usize];
-    let mut n = 0usize;
-    for &a in byte_addrs {
-        let s = a / seg;
-        if !segments[..n].contains(&s) {
-            segments[n] = s;
+    let segment = Divisor::new(seg);
+    // A segment is new unless an earlier lane touched it. Lanes usually
+    // walk addresses in order, so a segment past every earlier one (or
+    // equal to the previous lane's) settles the question without a scan.
+    let (mut lo, mut hi, mut prev) = (u64::MAX, 0u64, None);
+    let mut n = 0u64;
+    for (i, &a) in byte_addrs.iter().enumerate() {
+        let s = segment.div(a);
+        let new = if prev == Some(s) {
+            false
+        } else if s > hi || s < lo {
+            true
+        } else {
+            !byte_addrs[..i].iter().any(|&b| segment.div(b) == s)
+        };
+        if new {
             n += 1;
+            lo = lo.min(s);
+            hi = hi.max(s);
+        }
+        prev = Some(s);
+    }
+    (n, n * seg)
+}
+
+/// Division by a runtime constant, shifting when it is a power of two
+/// (segment sizes and bank counts always are on real devices).
+#[derive(Clone, Copy)]
+struct Divisor {
+    d: u64,
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Divisor {
+        Divisor {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
         }
     }
-    (n as u64, n as u64 * seg)
+
+    #[inline]
+    fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(s) => x >> s,
+            None => x / self.d,
+        }
+    }
+
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.d - 1),
+            None => x % self.d,
+        }
+    }
 }
 
 /// Shared-memory bank conflicts for one warp access: word addresses map to
@@ -45,6 +88,8 @@ pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
 /// contended bank (identical addresses broadcast for free).
 ///
 /// Returns the number of *extra* serialized passes (0 = conflict-free).
+/// One warp's access (up to `WARP_SIZE` addresses) is counted without
+/// allocating.
 ///
 /// # Examples
 ///
@@ -62,26 +107,52 @@ pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
 /// assert_eq!(bank_conflicts(32, &b), 0);
 /// ```
 pub fn bank_conflicts(banks: u32, word_addrs: &[u64]) -> u64 {
-    if word_addrs.is_empty() {
+    let Some(&first) = word_addrs.first() else {
+        return 0;
+    };
+    let bank = Divisor::new(u64::from(banks.max(1)));
+    // Fast paths: one word broadcast to every lane, or no two lanes on
+    // one bank.
+    if word_addrs.iter().all(|&w| w == first) {
         return 0;
     }
-    let banks = banks.max(1) as u64;
-    // Per bank, count *distinct* words (same word broadcasts).
-    let mut seen: Vec<(u64, u64)> = Vec::with_capacity(word_addrs.len()); // (bank, word)
-    let mut per_bank = vec![0u64; banks as usize];
-    for &w in word_addrs {
-        let b = w % banks;
-        if !seen.contains(&(b, w)) {
-            seen.push((b, w));
-            per_bank[b as usize] += 1;
+    if bank.d <= 64 {
+        let (mut used, mut clash) = (0u64, false);
+        for &w in word_addrs {
+            let bit = 1u64 << bank.rem(w);
+            clash |= used & bit != 0;
+            used |= bit;
+        }
+        if !clash {
+            return 0;
         }
     }
-    per_bank
+    // Per bank, count *distinct* words (same word broadcasts).
+    let mut stack = [0u64; WARP_SIZE as usize];
+    let mut heap = Vec::new();
+    let distinct: &mut [u64] = if word_addrs.len() <= stack.len() {
+        &mut stack
+    } else {
+        heap.resize(word_addrs.len(), 0);
+        &mut heap
+    };
+    let mut n = 0usize;
+    for &w in word_addrs {
+        if !distinct[..n].contains(&w) {
+            distinct[n] = w;
+            n += 1;
+        }
+    }
+    let distinct = &distinct[..n];
+    let worst = distinct
         .iter()
-        .copied()
+        .map(|&w| {
+            let b = bank.rem(w);
+            distinct.iter().filter(|&&v| bank.rem(v) == b).count() as u64
+        })
         .max()
-        .unwrap_or(1)
-        .saturating_sub(1)
+        .unwrap_or(1);
+    worst.saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -142,5 +213,111 @@ mod tests {
     fn empty_access() {
         assert_eq!(coalesce(&gpu(), &[]), (0, 0));
         assert_eq!(bank_conflicts(32, &[]), 0);
+    }
+
+    /// SplitMix64: a seeded, dependency-free generator for the property
+    /// tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// One warp's element indices: sequential, strided, clustered (many
+    /// duplicates), broadcast, shuffled or scattered, over 1..=32 lanes
+    /// (partial warps included) or occasionally more than a warp.
+    fn indices(rng: &mut Rng) -> Vec<u64> {
+        let n = match rng.below(8) {
+            0 => 32,
+            1 => 33 + rng.below(48) as usize,
+            _ => 1 + rng.below(32) as usize,
+        };
+        let base = rng.below(1 << 20);
+        let mut v: Vec<u64> = match rng.below(6) {
+            0 => (0..n as u64).map(|i| base + i).collect(),
+            1 => {
+                let stride = 1 + rng.below(64);
+                (0..n as u64).map(|i| base + i * stride).collect()
+            }
+            2 => (0..n).map(|_| base + rng.below(8)).collect(),
+            3 => vec![base; n],
+            4 => (0..n).map(|_| rng.below(1 << 40)).collect(),
+            _ => (0..n as u64).map(|i| base + i).collect(),
+        };
+        if rng.below(3) == 0 {
+            // Fisher-Yates: lanes need not walk addresses in order.
+            for i in (1..v.len()).rev() {
+                let j = rng.below(i as u64 + 1) as usize;
+                v.swap(i, j);
+            }
+        }
+        v
+    }
+
+    fn coalesce_reference(seg: u64, addrs: &[u64]) -> (u64, u64) {
+        let segments: std::collections::BTreeSet<u64> = addrs.iter().map(|a| a / seg).collect();
+        let n = segments.len() as u64;
+        (n, n * seg)
+    }
+
+    fn bank_conflicts_reference(banks: u32, words: &[u64]) -> u64 {
+        let mut per_bank: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
+            std::collections::HashMap::new();
+        for &w in words {
+            per_bank.entry(w % u64::from(banks)).or_default().insert(w);
+        }
+        per_bank
+            .values()
+            .map(|s| s.len() as u64)
+            .max()
+            .map_or(0, |m| m - 1)
+    }
+
+    #[test]
+    fn coalesce_matches_brute_force() {
+        let mut rng = Rng(0xc0a1_e5ce);
+        for case in 0..4000 {
+            let elem = [4u64, 8][case % 2];
+            let seg = [128u64, 32, 96][case % 3];
+            let gpu = GpuSpec {
+                transaction_bytes: seg,
+                ..gpu()
+            };
+            let addrs: Vec<u64> = indices(&mut rng).iter().map(|i| i * elem).collect();
+            assert_eq!(
+                coalesce(&gpu, &addrs),
+                coalesce_reference(seg, &addrs),
+                "case {case}: {elem}-byte elements, {seg}-byte segments, {addrs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bank_conflicts_match_brute_force() {
+        let mut rng = Rng(0xba4c_c0f1);
+        for case in 0..4000 {
+            let banks = [32u32, 16, 24, 96][case % 4];
+            // 8-byte elements span two 4-byte words: word = 2 * element.
+            let words_per_elem = [1u64, 2][(case / 4) % 2];
+            let words: Vec<u64> = indices(&mut rng)
+                .iter()
+                .map(|i| i * words_per_elem)
+                .collect();
+            assert_eq!(
+                bank_conflicts(banks, &words),
+                bank_conflicts_reference(banks, &words),
+                "case {case}: {banks} banks, {words:?}"
+            );
+        }
     }
 }

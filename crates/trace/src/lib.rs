@@ -604,9 +604,10 @@ pub fn span(cat: &'static str, name: &str) -> Option<Span> {
 mod tests {
     use super::*;
 
-    /// Tests touching the process-global shared sink (or asserting the
-    /// *absence* of any sink) serialize on this lock so they cannot see
-    /// each other's installations across the test harness's threads.
+    /// Every test that emits, touches the process-global shared sink or
+    /// asserts the *absence* of any sink serializes on this lock: `emit`
+    /// also delivers to the shared sink, so an unlocked emitter's events
+    /// could land in another test's shared sink.
     static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
 
     fn global_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -731,6 +732,7 @@ mod tests {
 
     #[test]
     fn memory_sink_collects_and_guard_restores() {
+        let _lock = global_lock();
         let outer = Rc::new(MemorySink::new());
         let inner = Rc::new(MemorySink::new());
         let _g1 = set_sink(outer.clone());
@@ -748,6 +750,7 @@ mod tests {
 
     #[test]
     fn span_measures_wall_time() {
+        let _lock = global_lock();
         let sink = Rc::new(MemorySink::new());
         let _g = set_sink(sink.clone());
         {
